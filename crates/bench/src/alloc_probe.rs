@@ -15,14 +15,17 @@
 //! static GLOBAL: rrs_bench::AllocProbe = rrs_bench::AllocProbe;
 //! ```
 //!
-//! and read the process-wide counters through [`alloc_calls`],
-//! [`live_bytes`] and [`peak_bytes`]. Without an installed probe the
-//! counters stay frozen at zero — [`probe_active`] detects that, so
-//! measurements can fail loudly instead of reporting a fake clean zero.
+//! and read the counters through [`alloc_calls`], [`live_bytes`] and
+//! [`peak_bytes`]. Without an installed probe the counters stay frozen at
+//! zero — [`probe_active`] detects that, so measurements can fail loudly
+//! instead of reporting a fake clean zero.
 //!
-//! Counter updates are `Relaxed`: per-thread counts are exact, and the
-//! workspace's measured sections are single-threaded, so cross-thread
-//! ordering slack never skews a reading that matters.
+//! [`alloc_calls`] is **per thread**: a measured section reads only its
+//! own thread's allocator calls, so a test harness or sweep allocating on
+//! other threads at the same moment cannot leak into a per-round count.
+//! The counter is a `const`-initialised thread-local `Cell`, which has no
+//! destructor and never allocates. Live and peak bytes stay process-wide
+//! (memory is shared); their updates are `Relaxed`.
 
 // Audited exception to the workspace-wide `forbid(unsafe_code)` (see this
 // crate's root): implementing `GlobalAlloc` is inherently unsafe. The impl
@@ -32,18 +35,27 @@
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The probe allocator. Install with `#[global_allocator]`; all state is
-/// process-global, so the unit struct carries nothing.
+/// static, so the unit struct carries nothing.
 pub struct AllocProbe;
 
-static CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
 static LIVE: AtomicU64 = AtomicU64::new(0);
 static PEAK: AtomicU64 = AtomicU64::new(0);
 
+fn count_call() {
+    // `try_with`: a thread's allocations during its own teardown still
+    // succeed, uncounted.
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
 fn on_alloc(bytes: usize) {
-    CALLS.fetch_add(1, Ordering::Relaxed);
+    count_call();
     let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
     PEAK.fetch_max(live, Ordering::Relaxed);
 }
@@ -62,7 +74,7 @@ unsafe impl GlobalAlloc for AllocProbe {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
+        count_call();
         if new_size >= layout.size() {
             let grow = (new_size - layout.size()) as u64;
             let live = LIVE.fetch_add(grow, Ordering::Relaxed) + grow;
@@ -79,10 +91,10 @@ unsafe impl GlobalAlloc for AllocProbe {
     }
 }
 
-/// Allocator calls (alloc + alloc_zeroed + realloc) since process start.
-/// Deterministic for single-threaded measured sections.
+/// Allocator calls (alloc + alloc_zeroed + realloc) made by the calling
+/// thread since it started. Other threads' calls are not included.
 pub fn alloc_calls() -> u64 {
-    CALLS.load(Ordering::Relaxed)
+    CALLS.with(Cell::get)
 }
 
 /// Live heap bytes currently outstanding (allocated minus freed).

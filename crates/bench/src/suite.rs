@@ -19,9 +19,11 @@
 //!   no-`Distribute` ablation `VarBatch<ΔLRU-EDF>` on a Zipf-popular
 //!   universe of 10⁴ (quick) / 10⁵ (full) colors, with
 //!   each policy's per-color-state footprint (`colorset_leaf_words`,
-//!   `colormap_live_pages`) recorded as *deterministic* metrics — so
-//!   `bench compare` flags any footprint growth as a regression — plus a
-//!   worker-ladder checksum proving the sweep stays byte-identical.
+//!   `colormap_live_pages`) and its round-loop work units
+//!   (`pending_drop_visits`, `book_boundary_visits`) recorded as
+//!   *deterministic* metrics — so `bench compare` flags any growth as a
+//!   regression — plus a worker-ladder checksum proving the sweep stays
+//!   byte-identical.
 //! * **opt** — the memoized OPT solver (DESIGN.md §16): a cold pricing
 //!   pass over the pinned genome set, a warm re-pricing pass hard-gated
 //!   at ≥ 90% cache hits plus the persisted codec's round-trip identity,
@@ -37,10 +39,10 @@ use std::time::Duration;
 use rrs_engine::obs::names;
 use rrs_engine::{
     encode_snapshot, jobs, par_map_sweep_stats, run_stream_session, set_jobs, CheckpointPolicy,
-    CounterRecorder, CounterRegistry, NoWatcher, NullRecorder, Policy, Recorder, Scratch,
-    SessionResult, Simulator, SnapshotFile, Stopwatch, StreamOptions,
+    CounterRecorder, CounterRegistry, NoWatcher, NullRecorder, PendingStore, Policy, Recorder,
+    Scratch, SessionResult, Simulator, SnapshotFile, Stopwatch, StreamOptions, Watcher,
 };
-use rrs_model::{Instance, InstanceBuilder, TextStream};
+use rrs_model::{ColorId, Instance, InstanceBuilder, TextStream};
 use rrs_offline::{solve_opt_guarded, solve_opt_memoized, OptCache, OptConfig};
 use rrs_workloads::bursty::{bursty_instance, BurstyConfig};
 use rrs_workloads::genome::parse_genome;
@@ -537,13 +539,25 @@ fn varbatch_dlru_edf() -> rrs_core::VarBatch<rrs_core::DeltaLruEdf> {
     rrs_core::VarBatch::new(rrs_core::DeltaLruEdf::new())
 }
 
+/// Watcher keeping the engine store's cumulative drop-phase visits.
+#[derive(Default)]
+struct EngineDropVisits(u64);
+
+impl Watcher for EngineDropVisits {
+    fn after_drop(&mut self, _round: u64, _dropped: &[(ColorId, u64)], pending: &PendingStore) {
+        self.0 = pending.drop_visits();
+    }
+}
+
 /// One policy's run over the pinned Zipf instance. The deterministic side
-/// records outcome totals *and* the policy's post-run per-color-state
+/// records outcome totals, the policy's post-run per-color-state
 /// footprint — occupied `ColorSet` leaf words and materialized `ColorMap`
-/// pages — so `bench compare` treats any footprint growth on the same
-/// workload as a regression (larger-is-worse is the comparator's default
-/// for deterministic metrics).
-fn zipf_policy_run<P: Policy + rrs_core::Footprint>(
+/// pages — and the run's work units: drop-phase index visits summed over
+/// the engine's pending store and the policy's virtual stores, and the
+/// book's block-boundary visits. `bench compare` treats any growth of
+/// these on the same workload as a regression (larger-is-worse is the
+/// comparator's default for deterministic metrics).
+fn zipf_policy_run<P: Policy + rrs_core::Footprint + rrs_core::Instrumented>(
     name: &str,
     inst: &Instance,
     cfg: SuiteConfig,
@@ -551,11 +565,14 @@ fn zipf_policy_run<P: Policy + rrs_core::Footprint>(
 ) -> Result<BenchRecord, String> {
     let sim = Simulator::new(inst, 8);
     let mut policy = mk();
-    let out = sim.run(&mut policy);
+    let mut engine_visits = EngineDropVisits::default();
+    let out =
+        sim.run_watched(&mut policy, &mut NullRecorder, &mut Scratch::new(), &mut engine_visits);
     if out.arrived != out.executed + out.dropped {
         return Err(format!("{name} conservation violated"));
     }
     let fp = rrs_core::Footprint::footprint(&policy);
+    let work = rrs_core::Instrumented::work(&policy);
 
     let mut record = BenchRecord::new(name);
     record
@@ -565,7 +582,9 @@ fn zipf_policy_run<P: Policy + rrs_core::Footprint>(
         .det(names::DROPPED, out.dropped)
         .det("total_cost", out.total_cost())
         .det(names::COLORSET_LEAF_WORDS, fp.colorset_leaf_words)
-        .det(names::COLORMAP_LIVE_PAGES, fp.colormap_live_pages);
+        .det(names::COLORMAP_LIVE_PAGES, fp.colormap_live_pages)
+        .det(names::PENDING_DROP_VISITS, engine_visits.0 + work.pending_drop_visits)
+        .det(names::BOOK_BOUNDARY_VISITS, work.book_boundary_visits);
 
     let mut samples = Vec::new();
     for _ in 0..cfg.repetitions {
@@ -901,6 +920,16 @@ mod tests {
                 words < arrived && pages < arrived,
                 "{name}: footprint ({words} words, {pages} pages) not sparse vs {arrived} jobs"
             );
+            // Each drop visit removes a queue entry or repairs one an
+            // execution removed, and every entry comes from an arrival: at
+            // most two visits per job in each of the (up to three) stores,
+            // whatever the number of colors.
+            let visits = bench.det_value(names::PENDING_DROP_VISITS).expect("visits recorded");
+            assert!(
+                visits > 0 && visits <= 6 * arrived,
+                "{name}: {visits} drop visits for {arrived} jobs"
+            );
+            assert!(bench.det_value(names::BOOK_BOUNDARY_VISITS).is_some_and(|v| v > 0));
         }
     }
 

@@ -155,6 +155,10 @@ impl<P: Instrumented> Instrumented for CheckedPolicy<P> {
     fn metrics(&self) -> rrs_core::AlgoMetrics {
         self.inner.metrics()
     }
+
+    fn work(&self) -> rrs_core::WorkCounters {
+        self.inner.work()
+    }
 }
 
 impl<P: rrs_core::Footprint> rrs_core::Footprint for CheckedPolicy<P> {

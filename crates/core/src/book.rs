@@ -97,6 +97,10 @@ pub struct ColorBook {
     states: ColorMap<ColorState>,
     /// Colors whose state has materialized (ever received an arrival).
     touched: ColorSet,
+    /// Colors whose `eligible` bit is set — a subset of `touched`, kept in
+    /// step at the two places eligibility flips (and rebuilt on load), so
+    /// [`ColorBook::eligible_colors`] costs O(eligible), not O(touched).
+    eligible: ColorSet,
     /// Number of colors known from the color table (the dense id range),
     /// whether or not they ever materialized.
     synced: usize,
@@ -115,6 +119,10 @@ pub struct ColorBook {
     /// Colors whose timestamps committed this round, in bound-bucket order;
     /// a member buffer so `begin_round` allocates nothing once warm.
     ts_updates: Vec<u32>,
+    /// Colors visited by `begin_round`'s block-boundary bucket walks,
+    /// cumulative (`obs::names::BOOK_BOUNDARY_VISITS`). A work counter:
+    /// not part of snapshots.
+    boundary_visits: u64,
     /// Accumulated lemma counters.
     pub metrics: AlgoMetrics,
 }
@@ -127,11 +135,13 @@ impl ColorBook {
             delta,
             states: ColorMap::new(),
             touched: ColorSet::new(),
+            eligible: ColorSet::new(),
             synced: 0,
             by_bound: Vec::new(),
             super_epoch_threshold: None,
             super_epoch_colors: ColorSet::new(),
             ts_updates: Vec::new(),
+            boundary_visits: 0,
             metrics: AlgoMetrics::default(),
         }
     }
@@ -174,7 +184,8 @@ impl ColorBook {
 
     /// Sparse-container footprint of the whole book: leaf words across the
     /// touched set, the per-bound buckets, and the super-epoch set, plus
-    /// the state map's live pages.
+    /// the state map's live pages. The eligible set is a derived index
+    /// over the touched set (never wider than it) and is not counted.
     pub fn footprint(&self) -> crate::StateFootprint {
         let words = self.touched.leaf_words()
             + self.super_epoch_colors.leaf_words()
@@ -194,14 +205,20 @@ impl ColorBook {
 
     /// Whether a color is currently eligible.
     pub fn is_eligible(&self, c: ColorId) -> bool {
-        self.states.get(c).is_some_and(|s| s.eligible)
+        self.eligible.contains(c)
     }
 
-    /// Iterate over all eligible colors in consistent order. Only
-    /// materialized colors can be eligible, so walking the touched set
-    /// suffices (and costs O(touched), not O(universe)).
+    /// Iterate over all eligible colors in consistent (ascending id)
+    /// order, in O(eligible) via the eligible set.
     pub fn eligible_colors(&self) -> impl Iterator<Item = ColorId> + '_ {
-        self.touched.iter().filter(|&c| self.states[c].eligible)
+        self.eligible.iter()
+    }
+
+    /// Colors visited by the block-boundary bucket walks of
+    /// [`ColorBook::begin_round`] so far (`book_boundary_visits`,
+    /// DESIGN.md §13).
+    pub fn boundary_visits(&self) -> u64 {
+        self.boundary_visits
     }
 
     /// Learn about new colors from a (possibly grown) color table. Only
@@ -259,6 +276,7 @@ impl ColorBook {
             if !k.is_multiple_of(d) {
                 continue;
             }
+            self.boundary_visits += bucket.len() as u64;
             for c in bucket.iter() {
                 let s = &mut self.states[c];
                 if let Some(w) = s.last_wrap {
@@ -272,6 +290,7 @@ impl ColorBook {
                 }
                 if s.eligible && !in_cache(c) {
                     s.eligible = false;
+                    self.eligible.remove(c);
                     s.cnt = 0;
                     if s.epoch_active {
                         s.epoch_active = false;
@@ -317,6 +336,7 @@ impl ColorBook {
             if !k.is_multiple_of(d) {
                 continue;
             }
+            self.boundary_visits += bucket.len() as u64;
             for c in bucket.iter() {
                 let s = &mut self.states[c];
                 s.deadline = k + d;
@@ -326,6 +346,7 @@ impl ColorBook {
                     self.metrics.counter_wraps += 1;
                     if !s.eligible {
                         s.eligible = true;
+                        self.eligible.insert(c);
                     }
                 }
             }
@@ -337,8 +358,9 @@ impl ColorBook {
     /// Δ and the super-epoch threshold are configuration, not state: they
     /// are written only so [`ColorBook::load_state`] can verify the resumed
     /// book was constructed identically. `by_bound` is derived from the
-    /// states and rebuilt on load; the `ts_updates` scratch buffer is dead
-    /// between rounds and excluded.
+    /// states and rebuilt on load, as is the eligible set; the `ts_updates`
+    /// scratch buffer is dead between rounds and the boundary-visit work
+    /// counter is telemetry, so both are excluded.
     ///
     /// v2 layout: synced color count, then the number of touched colors
     /// followed by, per touched color in ascending id order, its id and
@@ -412,6 +434,7 @@ impl ColorBook {
         self.states.grow_to(n);
         self.synced = n;
         self.touched = ColorSet::new();
+        self.eligible = ColorSet::new();
         self.by_bound.clear();
         let mut prev: Option<u32> = None;
         for i in 0..entries {
@@ -446,6 +469,9 @@ impl ColorBook {
             let epoch_active = get_bool(r, "color epoch flag")?;
             let c = ColorId(id);
             self.touched.insert(c);
+            if eligible {
+                self.eligible.insert(c);
+            }
             self.materialize(c, delay_bound);
             *self.states.entry(c) =
                 ColorState { delay_bound, cnt, deadline, eligible, ts, last_wrap, epoch_active };
@@ -643,6 +669,24 @@ mod tests {
         // The delay bound lands in the state on first arrival.
         step(&mut book, &colors, 0, &[(new_color, 1)], &[], &[]);
         assert_eq!(book.state(new_color).delay_bound, 8);
+    }
+
+    #[test]
+    fn boundary_visits_count_the_bucket_walks() {
+        let colors = ColorTable::from_bounds(&[2, 4]);
+        let (a, b) = (ColorId(0), ColorId(1));
+        let mut book = ColorBook::new(4);
+        // Round 0: both colors materialize in the arrival phase, so only
+        // the arrival-phase walk sees them.
+        step(&mut book, &colors, 0, &[(a, 1), (b, 1)], &[], &[]);
+        assert_eq!(book.boundary_visits(), 2);
+        // Round 1: no boundary. Round 2: the bound-2 bucket, twice.
+        step(&mut book, &colors, 1, &[], &[], &[]);
+        step(&mut book, &colors, 2, &[], &[], &[]);
+        assert_eq!(book.boundary_visits(), 4);
+        // Round 4: both buckets, twice each.
+        step(&mut book, &colors, 4, &[], &[], &[]);
+        assert_eq!(book.boundary_visits(), 8);
     }
 
     #[test]

@@ -128,6 +128,12 @@ impl<P: crate::Instrumented> crate::Instrumented for Distribute<P> {
     fn metrics(&self) -> crate::AlgoMetrics {
         self.inner.metrics()
     }
+
+    fn work(&self) -> crate::WorkCounters {
+        let mut work = self.inner.work();
+        work.pending_drop_visits += self.vpending.drop_visits();
+        work
+    }
 }
 
 impl<P: Policy> Policy for Distribute<P> {

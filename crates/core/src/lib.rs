@@ -82,6 +82,27 @@ pub trait Instrumented {
     fn book(&self) -> Option<&ColorBook>;
     /// Snapshot of the lemma counters accumulated so far.
     fn metrics(&self) -> AlgoMetrics;
+    /// Work counters accumulated so far. The default reads the book's
+    /// boundary walks; the reduction wrappers add the drop visits of
+    /// their virtual pending stores.
+    fn work(&self) -> WorkCounters {
+        WorkCounters {
+            pending_drop_visits: 0,
+            book_boundary_visits: self.book().map_or(0, ColorBook::boundary_visits),
+        }
+    }
+}
+
+/// Deterministic work units of a policy's per-round loops (DESIGN.md §13):
+/// host-independent, so `bench compare` can gate them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WorkCounters {
+    /// Index entries the drop phases of the policy's own pending stores
+    /// inspected (`pending_drop_visits`).
+    pub pending_drop_visits: u64,
+    /// Colors the book's block-boundary bucket walks visited
+    /// (`book_boundary_visits`).
+    pub book_boundary_visits: u64,
 }
 
 /// Sparse-container telemetry for a policy's per-color state: how many
@@ -129,6 +150,6 @@ pub mod prelude {
     pub use crate::transform::{distribute_instance, varbatch_instance, SubColorMap};
     pub use crate::{
         full_algorithm, AlgoMetrics, ClassicLru, DeltaLru, DeltaLruEdf, Distribute, Edf, Footprint,
-        FullAlgorithm, Instrumented, StateFootprint, VarBatch,
+        FullAlgorithm, Instrumented, StateFootprint, VarBatch, WorkCounters,
     };
 }

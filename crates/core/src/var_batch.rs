@@ -147,6 +147,12 @@ impl<P: crate::Instrumented> crate::Instrumented for VarBatch<P> {
     fn metrics(&self) -> crate::AlgoMetrics {
         self.inner.metrics()
     }
+
+    fn work(&self) -> crate::WorkCounters {
+        let mut work = self.inner.work();
+        work.pending_drop_visits += self.vpending.drop_visits();
+        work
+    }
 }
 
 impl<P: Policy> Policy for VarBatch<P> {

@@ -66,6 +66,12 @@ pub mod names {
     pub const OPT_CACHE_HITS: &str = "opt_cache_hits";
     /// Persisted OPT cache consultations.
     pub const OPT_CACHE_LOOKUPS: &str = "opt_cache_lookups";
+    /// Deadline-index entries the pending stores' drop phases inspected:
+    /// due colors plus stale entries repaired (see DESIGN.md §8).
+    pub const PENDING_DROP_VISITS: &str = "pending_drop_visits";
+    /// Colors visited by the color book's block-boundary bucket walks
+    /// (see DESIGN.md §8).
+    pub const BOOK_BOUNDARY_VISITS: &str = "book_boundary_visits";
 }
 
 /// A fixed-bucket histogram over `u64` samples.

@@ -1,38 +1,215 @@
-//! The pending-job store: per-color deadline queues.
+//! The pending-job store: per-color deadline queues plus a deadline index.
 //!
 //! All jobs are unit jobs, so pending jobs of one color are fully described
 //! by a queue of `(deadline, count)` entries in ascending deadline order.
-//! Arrivals for a fixed color carry strictly increasing deadlines
-//! (`round + D_ℓ` with `round` increasing), so the queue stays sorted with
-//! `push_back` plus tail merging.
+//! Arrivals for a fixed color carry nondecreasing deadlines (`round + D_ℓ`
+//! with `round` increasing), so the queue stays sorted with `push_back`
+//! plus tail merging.
+//!
+//! Every job has exactly one drop event, at its known deadline, so the
+//! store files each non-idle color once in a deadline index, under its
+//! earliest pending deadline. The drop phase touches only the colors
+//! whose key has come due and costs O(due colors + stale repairs), not
+//! O(colors ever seen) (DESIGN.md §8).
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
-use rrs_model::{ColorId, ColorMap, SnapError, SnapReader, SnapWriter};
+use rrs_model::{ColorId, ColorMap, ColorSet, SnapError, SnapReader, SnapWriter};
+
+/// A color's queue: ascending `(deadline, count)` entries.
+///
+/// A queue holding a single zero-count entry is a *tombstone*: an
+/// execution emptied it while its color was still filed in the deadline
+/// index. The tombstone keeps "the queue is nonempty" equivalent to "the
+/// color is filed", so a later arrival revives the queue in place instead
+/// of filing the color twice. Tombstones are idle in every query, are
+/// never written to snapshots and are reaped when their key comes due.
+/// Every other entry has a positive count.
+type Lane = VecDeque<(u64, u64)>;
+
+/// Whether a lane holds no pending jobs (empty, or a tombstone).
+#[inline]
+fn lane_idle(q: &Lane) -> bool {
+    q.front().is_none_or(|&(_, n)| n == 0)
+}
+
+/// The index key a lane should have: its front deadline, or `None` —
+/// after reaping a tombstone — if the lane is idle.
+fn front_key(q: &mut Lane) -> Option<u64> {
+    match q.front() {
+        Some(&(d, n)) if n > 0 => Some(d),
+        _ => {
+            q.clear();
+            None
+        }
+    }
+}
+
+/// End of a bucket's color list.
+const NIL: u32 = u32::MAX;
+
+/// A bucket of the deadline index: the colors filed under one key, as an
+/// intrusive singly linked list through [`DeadlineIndex::next`]. A bucket
+/// whose `head` is [`NIL`] is free.
+#[derive(Clone, Debug)]
+struct Bucket {
+    key: u64,
+    head: u32,
+}
+
+/// The deadline index: every nonempty queue's color filed once, in a
+/// bucket keyed by a deadline at most the queue's front deadline.
+///
+/// Colors falling due together share a bucket — at a block boundary,
+/// every color of one bound — so the drop phase walks a short list per
+/// due deadline instead of popping colors one by one, and ordering costs
+/// one heap operation per distinct deadline. A direct-mapped table from
+/// deadline to bucket finds the bucket for a new entry; it is sized to
+/// twice the live buckets and only accelerates the lookup (a miss opens
+/// a second bucket under the same key, which is harmless). Every vector
+/// here only grows to its high-water mark, so a steady round allocates
+/// nothing.
+#[derive(Clone, Debug, Default)]
+struct DeadlineIndex {
+    /// Per color: the next color in its bucket.
+    next: ColorMap<u32>,
+    buckets: Vec<Bucket>,
+    /// Ids of free buckets.
+    free: Vec<u32>,
+    /// `(key, bucket id)` of every live bucket, smallest key first.
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    /// `key mod len` → id of the bucket last opened under that slot.
+    table: Vec<u32>,
+}
+
+impl DeadlineIndex {
+    /// File color `c` under `key`.
+    fn insert(&mut self, c: ColorId, key: u64) {
+        let mask = self.table.len().wrapping_sub(1);
+        let slot = (key as usize) & mask;
+        if let Some(bucket) = self.table.get(slot).and_then(|&b| self.buckets.get_mut(b as usize)) {
+            if bucket.head != NIL && bucket.key == key {
+                *self.next.entry(c) = bucket.head;
+                bucket.head = c.0;
+                return;
+            }
+        }
+        let b = match self.free.pop() {
+            Some(b) => {
+                self.buckets[b as usize] = Bucket { key, head: c.0 };
+                b
+            }
+            None => {
+                self.buckets.push(Bucket { key, head: c.0 });
+                (self.buckets.len() - 1) as u32
+            }
+        };
+        *self.next.entry(c) = NIL;
+        self.heap.push(Reverse((key, b)));
+        let live = self.buckets.len() - self.free.len();
+        if 2 * live > self.table.len() {
+            self.table = vec![NIL; (2 * live).next_power_of_two()];
+            let mask = self.table.len() - 1;
+            for (id, bucket) in self.buckets.iter().enumerate() {
+                if bucket.head != NIL {
+                    self.table[(bucket.key as usize) & mask] = id as u32;
+                }
+            }
+        } else {
+            self.table[slot] = b;
+        }
+    }
+
+    /// Move every color filed under a key `<= round` into `due`, freeing
+    /// their buckets; returns how many colors moved.
+    fn take_due(&mut self, round: u64, due: &mut ColorSet) -> u64 {
+        due.clear();
+        let mut moved = 0;
+        while let Some(&Reverse((key, b))) = self.heap.peek() {
+            if key > round {
+                break;
+            }
+            self.heap.pop();
+            let mut c = std::mem::replace(&mut self.buckets[b as usize].head, NIL);
+            while c != NIL {
+                due.insert(ColorId(c));
+                c = self.next.value(ColorId(c));
+                moved += 1;
+            }
+            self.free.push(b);
+        }
+        moved
+    }
+
+    /// The smallest key and the first color filed under it.
+    fn first(&self) -> Option<(u64, ColorId)> {
+        self.heap.peek().map(|&Reverse((key, b))| (key, ColorId(self.buckets[b as usize].head)))
+    }
+
+    /// Unlink the color [`DeadlineIndex::first`] returned.
+    fn unlink_first(&mut self) {
+        let Some(&Reverse((_, b))) = self.heap.peek() else { return };
+        let bucket = &mut self.buckets[b as usize];
+        bucket.head = self.next.value(ColorId(bucket.head));
+        if bucket.head == NIL {
+            self.heap.pop();
+            self.free.push(b);
+        }
+    }
+}
 
 /// Pending unit jobs, bucketed by color and deadline.
 ///
-/// Both per-color tables are dense [`ColorMap`]s, so lookups are flat
-/// indexing and the store allocates only when the color universe (or a
-/// queue's high-water mark) grows — never in a steady-state round.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// The per-color queues live in a dense [`ColorMap`], so lookups are flat
+/// indexing. The deadline index files the color of every nonempty queue
+/// once, under a key at most the queue's front deadline; an execution can
+/// raise the front past the key, and such stale entries are re-filed when
+/// their key comes due. The store allocates only when the color universe,
+/// a queue's high-water mark or the index's high-water mark grows — never
+/// in a steady-state round.
+///
+/// Equality is logical: two stores with the same coverage, queues, total
+/// and `min_due` are equal whatever their index entries, tombstones or
+/// work counters.
+#[derive(Clone, Debug)]
 pub struct PendingStore {
-    queues: ColorMap<VecDeque<(u64, u64)>>, // per color: (deadline, count), ascending
-    counts: ColorMap<u64>,                  // per color total
+    queues: ColorMap<Lane>,
+    index: DeadlineIndex,
+    /// Drop-phase scratch: the due colors, visited in ascending order.
+    due: ColorSet,
     total: u64,
-    min_due: u64, // lower bound on the earliest pending deadline
+    /// Lower bound on the earliest pending deadline; exact after every
+    /// drop phase that is not skipped (it is snapshot state).
+    min_due: u64,
+    /// Index entries [`PendingStore::drop_due`] has inspected, cumulative
+    /// (`obs::names::PENDING_DROP_VISITS`).
+    drop_visits: u64,
 }
 
 impl Default for PendingStore {
     fn default() -> Self {
         PendingStore {
             queues: ColorMap::new(),
-            counts: ColorMap::new(),
+            index: DeadlineIndex::default(),
+            due: ColorSet::new(),
             total: 0,
             min_due: u64::MAX,
+            drop_visits: 0,
         }
     }
 }
+
+impl PartialEq for PendingStore {
+    fn eq(&self, other: &Self) -> bool {
+        self.num_colors() == other.num_colors()
+            && self.total == other.total
+            && self.min_due == other.min_due
+            && self.lanes().eq(other.lanes())
+    }
+}
+
+impl Eq for PendingStore {}
 
 impl PendingStore {
     /// An empty store.
@@ -43,7 +220,6 @@ impl PendingStore {
     /// Grow the store to know about colors `0..n`.
     pub fn ensure_colors(&mut self, n: usize) {
         self.queues.grow_to(n);
-        self.counts.grow_to(n);
     }
 
     /// Number of colors the store knows about.
@@ -52,16 +228,30 @@ impl PendingStore {
         self.queues.len()
     }
 
-    /// Live pages across the store's paged per-color containers —
-    /// sparse-state telemetry (DESIGN.md §14).
+    /// Live pages of the store's paged per-color queues — sparse-state
+    /// telemetry (DESIGN.md §14).
     pub fn live_pages(&self) -> usize {
-        self.queues.live_pages() + self.counts.live_pages()
+        self.queues.live_pages()
+    }
+
+    /// Index entries [`PendingStore::drop_due`] has inspected so far:
+    /// colors filed under a due key plus stale entries it repaired. A
+    /// deterministic work counter (`pending_drop_visits`, DESIGN.md §13);
+    /// not part of snapshots or equality.
+    #[inline]
+    pub fn drop_visits(&self) -> u64 {
+        self.drop_visits
+    }
+
+    /// Nonempty queues of non-idle colors, in ascending color order.
+    fn lanes(&self) -> impl Iterator<Item = (ColorId, &Lane)> + '_ {
+        self.queues.iter().filter(|(_, q)| !lane_idle(q))
     }
 
     /// Add `count` pending jobs of `color` with the given deadline.
     ///
     /// # Panics
-    /// Panics (debug) if the deadline is below the color's current latest
+    /// Panics (debug) if the deadline is below the color's latest
     /// deadline — arrivals must be fed in round order.
     pub fn arrive(&mut self, color: ColorId, deadline: u64, count: u64) {
         if count == 0 {
@@ -71,13 +261,25 @@ impl PendingStore {
         let q = &mut self.queues[color];
         match q.back_mut() {
             Some((d, n)) if *d == deadline => *n += count,
-            Some((d, _)) => {
+            Some((d, n)) => {
                 debug_assert!(*d < deadline, "arrivals must have nondecreasing deadlines");
-                q.push_back((deadline, count));
+                if *n == 0 {
+                    // Revive a tombstone in place: its index key is at
+                    // most the old deadline, hence at most the new one.
+                    *d = deadline;
+                    *n = count;
+                } else {
+                    q.push_back((deadline, count));
+                }
             }
-            None => q.push_back((deadline, count)),
+            None => {
+                // A lane's first allocation holds exactly one entry: most
+                // lanes never hold more (VecDeque's own minimum is four).
+                q.reserve_exact(1);
+                q.push_back((deadline, count));
+                self.index.insert(color, deadline);
+            }
         }
-        self.counts[color] += count;
         self.total += count;
         self.min_due = self.min_due.min(deadline);
     }
@@ -85,17 +287,22 @@ impl PendingStore {
     /// Drop every job with deadline `<= round` (the drop phase of `round`
     /// only ever sees deadlines `== round` when fed in order, but `<=` makes
     /// the store robust to sparse use). Appends `(color, dropped)` pairs to
-    /// `out` in consistent color order and returns the total dropped.
+    /// `out` in ascending color order and returns the total dropped.
+    ///
+    /// Visits only the colors filed under a key `<= round`, in ascending
+    /// color order, then repairs stale entries under the smallest key until
+    /// that key is a real front deadline, which becomes the exact new
+    /// `min_due`.
     pub fn drop_due(&mut self, round: u64, out: &mut Vec<(ColorId, u64)>) -> u64 {
-        // `min_due` is a lower bound on every pending deadline, so most
-        // rounds skip the per-color scan entirely (executions can only
-        // raise the true minimum, which keeps the bound valid).
+        // `min_due` is a lower bound on every index key, so most rounds
+        // skip the index entirely.
         if round < self.min_due {
             return 0;
         }
+        self.drop_visits += self.index.take_due(round, &mut self.due);
         let mut total = 0;
-        let mut next_due = u64::MAX;
-        for (c, q) in self.queues.iter_mut() {
+        for c in self.due.iter() {
+            let q = &mut self.queues[c];
             let mut dropped = 0;
             while let Some(&(d, n)) = q.front() {
                 if d > round {
@@ -104,22 +311,35 @@ impl PendingStore {
                 dropped += n;
                 q.pop_front();
             }
-            if let Some(&(d, _)) = q.front() {
-                next_due = next_due.min(d);
-            }
             if dropped > 0 {
-                self.counts[c] -= dropped;
                 total += dropped;
                 out.push((c, dropped));
             }
+            if let Some(key) = front_key(q) {
+                self.index.insert(c, key);
+            }
         }
         self.total -= total;
-        self.min_due = next_due;
+        // Repair stale entries until the smallest key is a real front
+        // deadline: that is the exact new `min_due`.
+        self.min_due = loop {
+            let Some((key, c)) = self.index.first() else { break u64::MAX };
+            let front = front_key(&mut self.queues[c]);
+            if front == Some(key) {
+                break key;
+            }
+            self.drop_visits += 1;
+            self.index.unlink_first();
+            if let Some(front) = front {
+                self.index.insert(c, front);
+            }
+        };
         total
     }
 
     /// Execute up to `slots` earliest-deadline pending jobs of `color`;
-    /// returns how many were executed.
+    /// returns how many were executed. An emptied queue keeps its last
+    /// entry as a zero-count tombstone until the index reaps it.
     pub fn execute(&mut self, color: ColorId, slots: u64) -> u64 {
         let Some(q) = self.queues.get_mut(color) else {
             return 0;
@@ -128,36 +348,37 @@ impl PendingStore {
         while remaining > 0 {
             let Some((_, n)) = q.front_mut() else { break };
             let take = (*n).min(remaining);
+            if take == 0 {
+                break;
+            }
             *n -= take;
             remaining -= take;
-            if *n == 0 {
+            if *n == 0 && q.len() > 1 {
                 q.pop_front();
             }
         }
         let executed = slots - remaining;
-        if executed > 0 {
-            self.counts[color] -= executed;
-            self.total -= executed;
-        }
+        self.total -= executed;
         executed
     }
 
-    /// Number of pending jobs of `color`.
+    /// Number of pending jobs of `color` (a sum over its queue, which
+    /// holds one entry per distinct pending deadline).
     #[inline]
     pub fn count(&self, color: ColorId) -> u64 {
-        self.counts.value(color)
+        self.queues.get(color).map_or(0, |q| q.iter().map(|&(_, n)| n).sum())
     }
 
     /// Whether `color` has no pending jobs (the paper's *idle*).
     #[inline]
     pub fn is_idle(&self, color: ColorId) -> bool {
-        self.count(color) == 0
+        self.queues.get(color).is_none_or(lane_idle)
     }
 
     /// Earliest deadline among pending jobs of `color`.
     #[inline]
     pub fn earliest_deadline(&self, color: ColorId) -> Option<u64> {
-        self.queues.get(color).and_then(|q| q.front().map(|&(d, _)| d))
+        self.queues.get(color).and_then(|q| q.front()).filter(|&&(_, n)| n > 0).map(|&(d, _)| d)
     }
 
     /// Total pending jobs over all colors.
@@ -168,32 +389,28 @@ impl PendingStore {
 
     /// Colors with at least one pending job, in consistent order.
     pub fn nonidle_colors(&self) -> impl Iterator<Item = ColorId> + '_ {
-        self.counts.iter().filter(|&(_, &n)| n > 0).map(|(c, _)| c)
+        self.lanes().map(|(c, _)| c)
     }
 
     /// The deadline profile of a color (ascending `(deadline, count)`),
     /// used by the exact offline solver to canonicalize states.
     pub fn profile(&self, color: ColorId) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.queues.get(color).into_iter().flat_map(|q| q.iter().copied())
+        self.queues.get(color).into_iter().flatten().copied().filter(|&(_, n)| n > 0)
     }
 
     /// Serialize the store into a snapshot writer (DESIGN.md §10).
     ///
-    /// v2 layout: coverage (color-universe size), the number of colors
-    /// with a nonempty queue, then per such color in ascending id order
-    /// its id, queue length, and `(deadline, count)` pairs, then the
-    /// `min_due` bound. Idle colors cost nothing on the wire — a sparse
-    /// store over a huge universe snapshots in O(pending colors). `counts`
-    /// and `total` are derived on load, so they cannot drift from the
-    /// queues. (v1 wrote one queue per covered color; see `load_state`.)
+    /// v2 layout: coverage (color-universe size), the number of non-idle
+    /// colors, then per such color in ascending id order its id, queue
+    /// length, and `(deadline, count)` pairs, then the `min_due` bound.
+    /// Idle colors cost nothing on the wire — a sparse store over a huge
+    /// universe snapshots in O(pending colors). The index and `total` are
+    /// derived on load, so they cannot drift from the queues. (v1 wrote
+    /// one queue per covered color; see `load_state`.)
     pub fn save_state(&self, w: &mut SnapWriter) {
         w.put_u64(self.queues.len() as u64);
-        let nonempty = self.queues.iter().filter(|(_, q)| !q.is_empty()).count();
-        w.put_u64(nonempty as u64);
-        for (c, q) in self.queues.iter() {
-            if q.is_empty() {
-                continue;
-            }
+        w.put_u64(self.lanes().count() as u64);
+        for (c, q) in self.lanes() {
             w.put_u32(c.0);
             w.put_u64(q.len() as u64);
             for &(deadline, count) in q {
@@ -258,6 +475,7 @@ impl PendingStore {
                 )));
             }
             let mut count_for_color = 0u64;
+            let mut first_deadline: Option<u64> = None;
             let mut last_deadline: Option<u64> = None;
             for _ in 0..q_len {
                 let deadline = r.get_u64("pending deadline")?;
@@ -277,18 +495,14 @@ impl PendingStore {
                         )));
                     }
                 }
+                first_deadline.get_or_insert(deadline);
                 last_deadline = Some(deadline);
                 store.queues.entry(color).push_back((deadline, count));
                 count_for_color += count;
             }
-            if count_for_color > 0 {
-                true_min = true_min.min(
-                    store.queues[color]
-                        .front()
-                        .map(|&(d, _)| d)
-                        .expect("color with a positive count has a queued deadline"),
-                );
-                *store.counts.entry(color) = count_for_color;
+            if let Some(front) = first_deadline {
+                true_min = true_min.min(front);
+                store.index.insert(color, front);
                 total += count_for_color;
             }
         }
@@ -396,6 +610,55 @@ mod tests {
         p.arrive(A, 4, 0);
         assert_eq!(p.total(), 0);
         assert_eq!(p.num_colors(), 0);
+    }
+
+    #[test]
+    fn emptied_queue_is_revived_in_place_not_indexed_twice() {
+        let mut p = PendingStore::new();
+        p.arrive(A, 4, 2);
+        assert_eq!(p.execute(A, 5), 2);
+        assert!(p.is_idle(A));
+        assert_eq!(p.count(A), 0);
+        assert_eq!(p.earliest_deadline(A), None);
+        assert_eq!(p.nonidle_colors().count(), 0);
+        p.arrive(A, 8, 3);
+        assert_eq!(p.index.first(), Some((4, A)), "still filed once, under the stale key");
+        assert_eq!(p.index.heap.len(), 1);
+        assert_eq!(p.profile(A).collect::<Vec<_>>(), vec![(8, 3)]);
+        // The stale key 4 is repaired at round 4, nothing dropped.
+        let mut out = Vec::new();
+        assert_eq!(p.drop_due(4, &mut out), 0);
+        assert!(out.is_empty());
+        assert_eq!(p.drop_due(8, &mut out), 3);
+        assert_eq!(out, vec![(A, 3)]);
+        assert!(p.index.heap.is_empty());
+    }
+
+    #[test]
+    fn drop_due_visits_only_due_colors() {
+        let mut p = PendingStore::new();
+        for c in 0..1000u32 {
+            p.arrive(ColorId(c), 10 + u64::from(c % 100), 1);
+        }
+        let mut out = Vec::new();
+        assert_eq!(p.drop_due(9, &mut out), 0);
+        assert_eq!(p.drop_visits(), 0, "nothing due: the index is not touched");
+        assert_eq!(p.drop_due(10, &mut out), 10);
+        assert_eq!(p.drop_visits(), 10, "ten colors due, ten visits");
+        assert_eq!(out, (0..10).map(|i| (ColorId(i * 100), 1)).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn equality_ignores_stale_index_entries() {
+        let mut p = PendingStore::new();
+        p.arrive(A, 4, 1);
+        p.arrive(A, 8, 1);
+        p.arrive(B, 6, 1);
+        p.execute(A, 1); // A's index key 4 is now stale
+        let q = round_trip(&p); // fresh index, same queues and min_due
+        assert_eq!(q.index.first(), Some((6, B)));
+        assert_eq!(p.index.first(), Some((4, A)));
+        assert_eq!(p, q);
     }
 
     fn round_trip(p: &PendingStore) -> PendingStore {

@@ -9,9 +9,11 @@
 //! `VarBatch<Distribute<ΔLRU-EDF>>` (whose virtual universe may still grow
 //! while batches are being split).
 //!
-//! Everything lives in ONE test function: the counter is process-global,
-//! so concurrent tests in the same binary would pollute each other's
-//! per-round deltas.
+//! The call counter is per thread, so the measured loops read only their
+//! own allocations whatever other tests in this binary do concurrently;
+//! `neighbouring_allocations_do_not_leak_into_round_counts` pins that.
+
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use rrs::prelude::*;
 use rrs_bench::alloc_probe;
@@ -188,4 +190,44 @@ fn steady_state_rounds_do_not_allocate() {
         "10^6-color universe with {live} live colors grew live heap by {peak} bytes \
          (cap {cap}); per-color state is no longer proportional to the live colors"
     );
+}
+
+/// A thread allocating as fast as it can beside a measured steady
+/// ΔLRU-EDF loop must not show up in the loop's per-round counts.
+#[test]
+fn neighbouring_allocations_do_not_leak_into_round_counts() {
+    assert!(alloc_probe::probe_active(), "probe must be installed as the global allocator");
+    let inst = batched_instance(128);
+    let warmup = 64;
+    let stop = AtomicBool::new(false);
+    let allocations = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                let v: Vec<u64> = std::hint::black_box(Vec::with_capacity(8));
+                drop(std::hint::black_box(v));
+                allocations.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        while allocations.load(Ordering::Relaxed) == 0 {
+            std::hint::spin_loop();
+        }
+        // Repeat the measured run until the neighbour demonstrably
+        // allocated during one (the scheduler may not interleave them on
+        // a busy host); every run must be clean either way.
+        let mut overlapped = false;
+        let mut dirty = None;
+        for _ in 0..50 {
+            let before = allocations.load(Ordering::Relaxed);
+            let probe = run_with_probe(&inst, 8, &mut rrs_core::DeltaLruEdf::new());
+            overlapped = allocations.load(Ordering::Relaxed) > before;
+            dirty = probe.per_round.iter().find(|&&(r, a)| r >= warmup && a > 0).copied();
+            if overlapped || dirty.is_some() {
+                break;
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+        assert_eq!(dirty, None, "a steady round counted another thread's allocations");
+        assert!(overlapped, "the allocating thread never ran during a measured loop");
+    });
 }

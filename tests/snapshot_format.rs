@@ -282,3 +282,128 @@ proptest! {
         prop_assert!(SnapshotFile::parse(&evil).is_err());
     }
 }
+
+/// Holds a policy's `ColorBook` eligible set to the filter it replaced —
+/// the colors whose per-color state has the eligible bit — after every
+/// reconfiguration and after every snapshot load.
+struct EligibleAudit<P>(P);
+
+fn assert_eligible_set(book: &rrs::core::ColorBook) {
+    let filtered: Vec<ColorId> =
+        (0..book.len() as u32).map(ColorId).filter(|&c| book.state(c).eligible).collect();
+    let indexed: Vec<ColorId> = book.eligible_colors().collect();
+    assert_eq!(indexed, filtered, "eligible set diverged from the per-color eligible bits");
+    assert!((0..book.len() as u32)
+        .all(|c| book.is_eligible(ColorId(c)) == book.state(ColorId(c)).eligible));
+}
+
+impl<P: Policy + Instrumented> Policy for EligibleAudit<P> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn init(&mut self, delta: u64, n_locations: usize) {
+        self.0.init(delta, n_locations);
+    }
+    fn reconfigure(&mut self, obs: &Observation<'_>, out: &mut Vec<Slot>) {
+        self.0.reconfigure(obs, out);
+        assert_eligible_set(self.0.book().expect("audited policy keeps a book"));
+    }
+}
+
+impl<P: Snapshot + Instrumented> Snapshot for EligibleAudit<P> {
+    fn save_state(&self, w: &mut SnapWriter) {
+        self.0.save_state(w);
+    }
+    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.0.load_state(r)?;
+        assert_eligible_set(self.0.book().expect("audited policy keeps a book"));
+        Ok(())
+    }
+}
+
+/// Resume the golden run from a committed fixture under the audit: the
+/// set is rebuilt by `load_state` and kept in step for the rest of the run.
+fn audited_resume_from_fixture(name: &str) {
+    let inst = golden_instance();
+    let want = Simulator::new(&inst, 8).run(&mut full_algorithm());
+    let fixture =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name);
+    let snap = std::fs::read(fixture).unwrap();
+    let out = Simulator::new(&inst, 8)
+        .resume(
+            &mut EligibleAudit(full_algorithm()),
+            &mut NullRecorder,
+            &mut Scratch::new(),
+            &mut NoWatcher,
+            &snap,
+        )
+        .expect("committed fixture loads");
+    assert_eq!(out, want);
+}
+
+#[test]
+fn eligible_set_is_rebuilt_from_the_v1_fixture() {
+    audited_resume_from_fixture("checkpoint_v1.snap");
+}
+
+#[test]
+fn eligible_set_is_rebuilt_from_the_v2_fixture() {
+    audited_resume_from_fixture("checkpoint_v2.snap");
+}
+
+/// A rate-limited instance: batches of at most `D` jobs on block
+/// boundaries, as bare ΔLRU-EDF requires.
+fn batched_strategy() -> impl Strategy<Value = Instance> {
+    (
+        1u64..=4,
+        prop::collection::vec(0u32..=3, 1..=6),
+        prop::collection::vec((0u64..=12, 1u64..=8), 0..=40),
+    )
+        .prop_map(|(delta, exps, picks)| {
+            let mut b = InstanceBuilder::new(delta);
+            let bounds: Vec<u64> = exps.iter().map(|&e| 1u64 << e).collect();
+            let colors: Vec<ColorId> = bounds.iter().map(|&d| b.color(d)).collect();
+            for (i, (block, jobs)) in picks.into_iter().enumerate() {
+                let idx = i % colors.len();
+                b.arrive(block * bounds[idx], colors[idx], jobs.min(bounds[idx]));
+            }
+            b.build()
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Bare ΔLRU-EDF on rate-limited traffic: the eligible set matches
+    /// the per-color bits after every round, straight and resumed from a
+    /// checkpoint at an arbitrary round.
+    #[test]
+    fn eligible_set_tracks_rate_limited_runs(inst in batched_strategy(), at in 0u64..=40) {
+        let sim = Simulator::new(&inst, 8);
+        let want = sim.run(&mut EligibleAudit(DeltaLruEdf::new()));
+        let k = at.min(sim.horizon());
+        let snap = sim
+            .checkpoint(&mut DeltaLruEdf::new(), &mut NullRecorder, &mut Scratch::new(), &mut NoWatcher, k)
+            .into_snapshot();
+        let resumed = sim
+            .resume(&mut EligibleAudit(DeltaLruEdf::new()), &mut NullRecorder, &mut Scratch::new(), &mut NoWatcher, &snap)
+            .expect("resumes");
+        prop_assert_eq!(resumed, want);
+    }
+
+    /// The full stack on Zipf traffic over 16–512 colors.
+    #[test]
+    fn eligible_set_tracks_zipf_runs(seed in 0u64..1_000, colors in 16usize..=512, at in 0u64..=64) {
+        let cfg = ZipfConfig { num_colors: colors, rounds: 64, ..ZipfConfig::default() };
+        let inst = zipf_popularity(&cfg, seed);
+        let sim = Simulator::new(&inst, 8);
+        let want = sim.run(&mut EligibleAudit(full_algorithm()));
+        let snap = sim
+            .checkpoint(&mut full_algorithm(), &mut NullRecorder, &mut Scratch::new(), &mut NoWatcher, at)
+            .into_snapshot();
+        let resumed = sim
+            .resume(&mut EligibleAudit(full_algorithm()), &mut NullRecorder, &mut Scratch::new(), &mut NoWatcher, &snap)
+            .expect("resumes");
+        prop_assert_eq!(resumed, want);
+    }
+}
