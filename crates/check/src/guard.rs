@@ -81,7 +81,7 @@ impl<P: Policy + Instrumented> CheckedPolicy<P> {
                 // until then it reads as the untouched sentinel, which must
                 // be inert in every ranking.
                 assert!(
-                    s.ts.is_none() && s.cnt == 0 && !s.eligible && s.deadline == 0,
+                    s.ts.is_none() && s.cnt == 0 && !book.is_eligible(c) && s.deadline == 0,
                     "round {}: never-arrived color {c} has live state",
                     obs.round
                 );
@@ -112,7 +112,7 @@ impl<P: Policy + Instrumented> CheckedPolicy<P> {
                 self.delta
             );
             assert!(
-                !s.eligible || s.last_wrap.is_some(),
+                !book.is_eligible(c) || s.last_wrap.is_some(),
                 "round {}: color {c} is eligible but never wrapped",
                 obs.round
             );

@@ -36,8 +36,6 @@ pub struct ColorState {
     pub cnt: u64,
     /// Current deadline `ℓ.dd` (refreshed to `k + D_ℓ` at each boundary).
     pub deadline: u64,
-    /// Whether the color is eligible.
-    pub eligible: bool,
     /// Committed timestamp (§3.1.1): the latest counter-wrap round strictly
     /// before the current block, or `None` if no wrap has committed yet.
     /// Rankings use [`ColorState::ts_value`], which maps `None` to 0 as in
@@ -59,15 +57,7 @@ impl ColorState {
     }
 
     fn new(delay_bound: u64) -> Self {
-        Self {
-            delay_bound,
-            cnt: 0,
-            deadline: 0,
-            eligible: false,
-            ts: None,
-            last_wrap: None,
-            epoch_active: false,
-        }
+        Self { delay_bound, cnt: 0, deadline: 0, ts: None, last_wrap: None, epoch_active: false }
     }
 }
 
@@ -97,9 +87,10 @@ pub struct ColorBook {
     states: ColorMap<ColorState>,
     /// Colors whose state has materialized (ever received an arrival).
     touched: ColorSet,
-    /// Colors whose `eligible` bit is set — a subset of `touched`, kept in
-    /// step at the two places eligibility flips (and rebuilt on load), so
-    /// [`ColorBook::eligible_colors`] costs O(eligible), not O(touched).
+    /// The eligible colors (each color's eligibility bit), a subset of
+    /// `touched`: flipped at the two places eligibility changes and
+    /// rebuilt on load, so [`ColorBook::eligible_colors`] costs
+    /// O(eligible), not O(touched).
     eligible: ColorSet,
     /// Number of colors known from the color table (the dense id range),
     /// whether or not they ever materialized.
@@ -183,11 +174,11 @@ impl ColorBook {
     }
 
     /// Sparse-container footprint of the whole book: leaf words across the
-    /// touched set, the per-bound buckets, and the super-epoch set, plus
-    /// the state map's live pages. The eligible set is a derived index
-    /// over the touched set (never wider than it) and is not counted.
+    /// touched set, the eligible set, the per-bound buckets, and the
+    /// super-epoch set, plus the state map's live pages.
     pub fn footprint(&self) -> crate::StateFootprint {
         let words = self.touched.leaf_words()
+            + self.eligible.leaf_words()
             + self.super_epoch_colors.leaf_words()
             + self.by_bound.iter().map(|(_, b)| b.leaf_words()).sum::<usize>();
         crate::StateFootprint {
@@ -288,8 +279,7 @@ impl ColorBook {
                         self.ts_updates.push(c.0);
                     }
                 }
-                if s.eligible && !in_cache(c) {
-                    s.eligible = false;
+                if self.eligible.contains(c) && !in_cache(c) {
                     self.eligible.remove(c);
                     s.cnt = 0;
                     if s.epoch_active {
@@ -344,10 +334,7 @@ impl ColorBook {
                     s.cnt %= self.delta;
                     s.last_wrap = Some(k);
                     self.metrics.counter_wraps += 1;
-                    if !s.eligible {
-                        s.eligible = true;
-                        self.eligible.insert(c);
-                    }
+                    self.eligible.insert(c);
                 }
             }
         }
@@ -358,7 +345,7 @@ impl ColorBook {
     /// Δ and the super-epoch threshold are configuration, not state: they
     /// are written only so [`ColorBook::load_state`] can verify the resumed
     /// book was constructed identically. `by_bound` is derived from the
-    /// states and rebuilt on load, as is the eligible set; the `ts_updates`
+    /// states and rebuilt on load; the `ts_updates`
     /// scratch buffer is dead between rounds and the boundary-visit work
     /// counter is telemetry, so both are excluded.
     ///
@@ -377,7 +364,7 @@ impl ColorBook {
             w.put_u64(s.delay_bound);
             w.put_u64(s.cnt);
             w.put_u64(s.deadline);
-            put_bool(w, s.eligible);
+            put_bool(w, self.eligible.contains(c));
             put_opt_u64(w, s.ts);
             put_opt_u64(w, s.last_wrap);
             put_bool(w, s.epoch_active);
@@ -474,7 +461,7 @@ impl ColorBook {
             }
             self.materialize(c, delay_bound);
             *self.states.entry(c) =
-                ColorState { delay_bound, cnt, deadline, eligible, ts, last_wrap, epoch_active };
+                ColorState { delay_bound, cnt, deadline, ts, last_wrap, epoch_active };
         }
         self.super_epoch_colors = get_color_set(r, "super-epoch colors")?;
         self.metrics = AlgoMetrics {

@@ -7,8 +7,8 @@
 //! total per color and derives wraps arithmetically. These tests drive a
 //! [`ColorBook`] and the oracle through the same rounds — unit cases across
 //! the wrap boundary plus randomized schedules — and assert the book's
-//! counters, timestamps and the full ΔLRU recency *order* agree with the
-//! oracle everywhere.
+//! counters, timestamps, eligible set and the full ΔLRU recency *order*
+//! agree with the oracle everywhere.
 
 use proptest::prelude::*;
 use rrs_core::ranking::{lru_key, sort_by_lru, Recency};
@@ -121,13 +121,26 @@ fn step_both(
         assert_eq!(s.cnt, oracle.counter(i), "round {round}, color {c}: counter diverged");
         assert_eq!(s.last_wrap, o.last_wrap, "round {round}, color {c}: wrap round diverged");
         assert_eq!(s.ts, o.ts, "round {round}, color {c}: committed timestamp diverged");
-        assert_eq!(s.eligible, o.eligible, "round {round}, color {c}: eligibility diverged");
+        assert_eq!(
+            book.is_eligible(c),
+            o.eligible,
+            "round {round}, color {c}: eligibility diverged"
+        );
         assert_eq!(
             Recency::from_ts(s.ts).value(),
             o.ts.unwrap_or(0),
             "round {round}, color {c}: recency value diverged"
         );
     }
+    let eligible: Vec<ColorId> = (0..oracle.colors.len() as u32)
+        .map(ColorId)
+        .filter(|c| oracle.colors[c.index()].eligible)
+        .collect();
+    assert_eq!(
+        book.eligible_colors().collect::<Vec<_>>(),
+        eligible,
+        "round {round}: eligible set diverged"
+    );
     let mut ids: Vec<ColorId> = (0..oracle.colors.len() as u32).map(ColorId).collect();
     sort_by_lru(book, &mut ids);
     assert_eq!(ids, oracle.recency_order(), "round {round}: \u{0394}LRU order diverged");
@@ -180,12 +193,12 @@ fn retirement_discards_partial_counts_in_both_models() {
     // Round 2, not cached: retires, partial count discarded.
     step_both(&mut book, &mut oracle, &table, 2, &[], &[false]);
     assert_eq!(book.state(a).cnt, 0);
-    assert!(!book.state(a).eligible);
+    assert!(!book.is_eligible(a));
     // The color must now re-accumulate a full Δ from zero to wrap again.
     step_both(&mut book, &mut oracle, &table, 4, &[(a, 3)], &[true]);
-    assert!(!book.state(a).eligible);
+    assert!(!book.is_eligible(a));
     step_both(&mut book, &mut oracle, &table, 6, &[(a, 1)], &[true]);
-    assert!(book.state(a).eligible);
+    assert!(book.is_eligible(a));
 }
 
 #[test]

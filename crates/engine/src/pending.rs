@@ -15,39 +15,41 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use rrs_model::{ColorId, ColorMap, ColorSet, SnapError, SnapReader, SnapWriter};
+use rrs_model::{ColorId, ColorMap, SnapError, SnapReader, SnapWriter};
 
-/// A color's queue: ascending `(deadline, count)` entries.
-///
-/// A queue holding a single zero-count entry is a *tombstone*: an
-/// execution emptied it while its color was still filed in the deadline
-/// index. The tombstone keeps "the queue is nonempty" equivalent to "the
-/// color is filed", so a later arrival revives the queue in place instead
-/// of filing the color twice. Tombstones are idle in every query, are
-/// never written to snapshots and are reaped when their key comes due.
-/// Every other entry has a positive count.
+/// A color's queue: ascending `(deadline, count)` entries, every count
+/// positive.
 type Lane = VecDeque<(u64, u64)>;
 
-/// Whether a lane holds no pending jobs (empty, or a tombstone).
-#[inline]
-fn lane_idle(q: &Lane) -> bool {
-    q.front().is_none_or(|&(_, n)| n == 0)
-}
+/// End of a bucket's color list, and the head of a free bucket.
+const NIL: u32 = u32::MAX;
 
-/// The index key a lane should have: its front deadline, or `None` —
-/// after reaping a tombstone — if the lane is idle.
-fn front_key(q: &mut Lane) -> Option<u64> {
-    match q.front() {
-        Some(&(d, n)) if n > 0 => Some(d),
-        _ => {
-            q.clear();
-            None
-        }
+/// The [`DeadlineIndex::next`] slot of a color that is not filed — the
+/// map's default. A filed color's slot holds its successor in the bucket
+/// list plus one, or [`NIL`] at the end of the list (so color ids stay
+/// below `NIL - 1`).
+const UNFILED: u32 = 0;
+
+/// The `next` slot of a filed color whose successor is `s`.
+#[inline]
+fn link(s: u32) -> u32 {
+    if s == NIL {
+        NIL
+    } else {
+        s + 1
     }
 }
 
-/// End of a bucket's color list.
-const NIL: u32 = u32::MAX;
+/// The successor a filed color's `next` slot names.
+#[inline]
+fn successor(slot: u32) -> u32 {
+    debug_assert_ne!(slot, UNFILED, "walked into an unfiled color");
+    if slot == NIL {
+        NIL
+    } else {
+        slot - 1
+    }
+}
 
 /// A bucket of the deadline index: the colors filed under one key, as an
 /// intrusive singly linked list through [`DeadlineIndex::next`]. A bucket
@@ -59,7 +61,9 @@ struct Bucket {
 }
 
 /// The deadline index: every nonempty queue's color filed once, in a
-/// bucket keyed by a deadline at most the queue's front deadline.
+/// bucket keyed by a deadline at most the queue's front deadline. A color
+/// whose queue an execution emptied may stay filed until its key comes
+/// due; a color is filed again only after it has been unfiled.
 ///
 /// Colors falling due together share a bucket — at a block boundary,
 /// every color of one bound — so the drop phase walks a short list per
@@ -72,7 +76,8 @@ struct Bucket {
 /// nothing.
 #[derive(Clone, Debug, Default)]
 struct DeadlineIndex {
-    /// Per color: the next color in its bucket.
+    /// Per color: [`UNFILED`], or the link to the next color in its
+    /// bucket.
     next: ColorMap<u32>,
     buckets: Vec<Bucket>,
     /// Ids of free buckets.
@@ -84,13 +89,20 @@ struct DeadlineIndex {
 }
 
 impl DeadlineIndex {
-    /// File color `c` under `key`.
+    /// Whether color `c` is filed.
+    #[inline]
+    fn is_filed(&self, c: ColorId) -> bool {
+        self.next.value(c) != UNFILED
+    }
+
+    /// File the unfiled color `c` under `key`.
     fn insert(&mut self, c: ColorId, key: u64) {
+        debug_assert!(c.0 < NIL - 1 && !self.is_filed(c));
         let mask = self.table.len().wrapping_sub(1);
         let slot = (key as usize) & mask;
         if let Some(bucket) = self.table.get(slot).and_then(|&b| self.buckets.get_mut(b as usize)) {
             if bucket.head != NIL && bucket.key == key {
-                *self.next.entry(c) = bucket.head;
+                *self.next.entry(c) = link(bucket.head);
                 bucket.head = c.0;
                 return;
             }
@@ -121,11 +133,9 @@ impl DeadlineIndex {
         }
     }
 
-    /// Move every color filed under a key `<= round` into `due`, freeing
-    /// their buckets; returns how many colors moved.
-    fn take_due(&mut self, round: u64, due: &mut ColorSet) -> u64 {
-        due.clear();
-        let mut moved = 0;
+    /// Unfile every color filed under a key `<= round`, appending it to
+    /// `due`, and free their buckets.
+    fn take_due(&mut self, round: u64, due: &mut Vec<u32>) {
         while let Some(&Reverse((key, b))) = self.heap.peek() {
             if key > round {
                 break;
@@ -133,13 +143,11 @@ impl DeadlineIndex {
             self.heap.pop();
             let mut c = std::mem::replace(&mut self.buckets[b as usize].head, NIL);
             while c != NIL {
-                due.insert(ColorId(c));
-                c = self.next.value(ColorId(c));
-                moved += 1;
+                due.push(c);
+                c = successor(std::mem::replace(&mut self.next[ColorId(c)], UNFILED));
             }
             self.free.push(b);
         }
-        moved
     }
 
     /// The smallest key and the first color filed under it.
@@ -147,11 +155,11 @@ impl DeadlineIndex {
         self.heap.peek().map(|&Reverse((key, b))| (key, ColorId(self.buckets[b as usize].head)))
     }
 
-    /// Unlink the color [`DeadlineIndex::first`] returned.
+    /// Unfile the color [`DeadlineIndex::first`] returned.
     fn unlink_first(&mut self) {
         let Some(&Reverse((_, b))) = self.heap.peek() else { return };
         let bucket = &mut self.buckets[b as usize];
-        bucket.head = self.next.value(ColorId(bucket.head));
+        bucket.head = successor(std::mem::replace(&mut self.next[ColorId(bucket.head)], UNFILED));
         if bucket.head == NIL {
             self.heap.pop();
             self.free.push(b);
@@ -170,14 +178,13 @@ impl DeadlineIndex {
 /// in a steady-state round.
 ///
 /// Equality is logical: two stores with the same coverage, queues, total
-/// and `min_due` are equal whatever their index entries, tombstones or
-/// work counters.
+/// and `min_due` are equal whatever their index entries or work counters.
 #[derive(Clone, Debug)]
 pub struct PendingStore {
     queues: ColorMap<Lane>,
     index: DeadlineIndex,
-    /// Drop-phase scratch: the due colors, visited in ascending order.
-    due: ColorSet,
+    /// Drop-phase scratch: the due colors, sorted into ascending order.
+    due: Vec<u32>,
     total: u64,
     /// Lower bound on the earliest pending deadline; exact after every
     /// drop phase that is not skipped (it is snapshot state).
@@ -192,7 +199,7 @@ impl Default for PendingStore {
         PendingStore {
             queues: ColorMap::new(),
             index: DeadlineIndex::default(),
-            due: ColorSet::new(),
+            due: Vec::new(),
             total: 0,
             min_due: u64::MAX,
             drop_visits: 0,
@@ -202,10 +209,7 @@ impl Default for PendingStore {
 
 impl PartialEq for PendingStore {
     fn eq(&self, other: &Self) -> bool {
-        self.num_colors() == other.num_colors()
-            && self.total == other.total
-            && self.min_due == other.min_due
-            && self.lanes().eq(other.lanes())
+        self.queues == other.queues && self.total == other.total && self.min_due == other.min_due
     }
 }
 
@@ -228,10 +232,10 @@ impl PendingStore {
         self.queues.len()
     }
 
-    /// Live pages of the store's paged per-color queues — sparse-state
-    /// telemetry (DESIGN.md §14).
+    /// Live pages across the store's paged per-color maps, the queues
+    /// and the index links — sparse-state telemetry (DESIGN.md §14).
     pub fn live_pages(&self) -> usize {
-        self.queues.live_pages()
+        self.queues.live_pages() + self.index.next.live_pages()
     }
 
     /// Index entries [`PendingStore::drop_due`] has inspected so far:
@@ -243,16 +247,20 @@ impl PendingStore {
         self.drop_visits
     }
 
-    /// Nonempty queues of non-idle colors, in ascending color order.
+    /// The nonempty queues, in ascending color order.
     fn lanes(&self) -> impl Iterator<Item = (ColorId, &Lane)> + '_ {
-        self.queues.iter().filter(|(_, q)| !lane_idle(q))
+        self.queues.iter().filter(|(_, q)| !q.is_empty())
     }
 
     /// Add `count` pending jobs of `color` with the given deadline.
     ///
+    /// Arrivals of one color must carry nondecreasing deadlines over the
+    /// store's life (they are fed in round order), so a color still filed
+    /// under a stale key needs no new entry.
+    ///
     /// # Panics
-    /// Panics (debug) if the deadline is below the color's latest
-    /// deadline — arrivals must be fed in round order.
+    /// Panics (debug) if the deadline is below the color's latest pending
+    /// deadline.
     pub fn arrive(&mut self, color: ColorId, deadline: u64, count: u64) {
         if count == 0 {
             return;
@@ -261,23 +269,18 @@ impl PendingStore {
         let q = &mut self.queues[color];
         match q.back_mut() {
             Some((d, n)) if *d == deadline => *n += count,
-            Some((d, n)) => {
+            Some((d, _)) => {
                 debug_assert!(*d < deadline, "arrivals must have nondecreasing deadlines");
-                if *n == 0 {
-                    // Revive a tombstone in place: its index key is at
-                    // most the old deadline, hence at most the new one.
-                    *d = deadline;
-                    *n = count;
-                } else {
-                    q.push_back((deadline, count));
-                }
+                q.push_back((deadline, count));
             }
             None => {
                 // A lane's first allocation holds exactly one entry: most
                 // lanes never hold more (VecDeque's own minimum is four).
                 q.reserve_exact(1);
                 q.push_back((deadline, count));
-                self.index.insert(color, deadline);
+                if !self.index.is_filed(color) {
+                    self.index.insert(color, deadline);
+                }
             }
         }
         self.total += count;
@@ -299,9 +302,15 @@ impl PendingStore {
         if round < self.min_due {
             return 0;
         }
-        self.drop_visits += self.index.take_due(round, &mut self.due);
+        self.due.clear();
+        self.index.take_due(round, &mut self.due);
+        self.drop_visits += self.due.len() as u64;
+        // A bucket lists its colors in reverse filing order, mostly
+        // descending ids, so this sort is close to linear.
+        self.due.sort_unstable();
         let mut total = 0;
-        for c in self.due.iter() {
+        for &c in &self.due {
+            let c = ColorId(c);
             let q = &mut self.queues[c];
             let mut dropped = 0;
             while let Some(&(d, n)) = q.front() {
@@ -315,8 +324,8 @@ impl PendingStore {
                 total += dropped;
                 out.push((c, dropped));
             }
-            if let Some(key) = front_key(q) {
-                self.index.insert(c, key);
+            if let Some(&(front, _)) = q.front() {
+                self.index.insert(c, front);
             }
         }
         self.total -= total;
@@ -324,7 +333,7 @@ impl PendingStore {
         // deadline: that is the exact new `min_due`.
         self.min_due = loop {
             let Some((key, c)) = self.index.first() else { break u64::MAX };
-            let front = front_key(&mut self.queues[c]);
+            let front = self.queues[c].front().map(|&(d, _)| d);
             if front == Some(key) {
                 break key;
             }
@@ -338,8 +347,8 @@ impl PendingStore {
     }
 
     /// Execute up to `slots` earliest-deadline pending jobs of `color`;
-    /// returns how many were executed. An emptied queue keeps its last
-    /// entry as a zero-count tombstone until the index reaps it.
+    /// returns how many were executed. An emptied queue's color stays
+    /// filed until its key comes due.
     pub fn execute(&mut self, color: ColorId, slots: u64) -> u64 {
         let Some(q) = self.queues.get_mut(color) else {
             return 0;
@@ -348,12 +357,9 @@ impl PendingStore {
         while remaining > 0 {
             let Some((_, n)) = q.front_mut() else { break };
             let take = (*n).min(remaining);
-            if take == 0 {
-                break;
-            }
             *n -= take;
             remaining -= take;
-            if *n == 0 && q.len() > 1 {
+            if *n == 0 {
                 q.pop_front();
             }
         }
@@ -372,13 +378,13 @@ impl PendingStore {
     /// Whether `color` has no pending jobs (the paper's *idle*).
     #[inline]
     pub fn is_idle(&self, color: ColorId) -> bool {
-        self.queues.get(color).is_none_or(lane_idle)
+        self.queues.get(color).is_none_or(VecDeque::is_empty)
     }
 
     /// Earliest deadline among pending jobs of `color`.
     #[inline]
     pub fn earliest_deadline(&self, color: ColorId) -> Option<u64> {
-        self.queues.get(color).and_then(|q| q.front()).filter(|&&(_, n)| n > 0).map(|&(d, _)| d)
+        self.queues.get(color).and_then(|q| q.front().map(|&(d, _)| d))
     }
 
     /// Total pending jobs over all colors.
@@ -395,7 +401,7 @@ impl PendingStore {
     /// The deadline profile of a color (ascending `(deadline, count)`),
     /// used by the exact offline solver to canonicalize states.
     pub fn profile(&self, color: ColorId) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.queues.get(color).into_iter().flatten().copied().filter(|&(_, n)| n > 0)
+        self.queues.get(color).into_iter().flatten().copied()
     }
 
     /// Serialize the store into a snapshot writer (DESIGN.md §10).
@@ -613,7 +619,7 @@ mod tests {
     }
 
     #[test]
-    fn emptied_queue_is_revived_in_place_not_indexed_twice() {
+    fn emptied_queue_stays_filed_once() {
         let mut p = PendingStore::new();
         p.arrive(A, 4, 2);
         assert_eq!(p.execute(A, 5), 2);
@@ -629,9 +635,14 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(p.drop_due(4, &mut out), 0);
         assert!(out.is_empty());
+        assert_eq!(p.index.first(), Some((8, A)));
         assert_eq!(p.drop_due(8, &mut out), 3);
         assert_eq!(out, vec![(A, 3)]);
         assert!(p.index.heap.is_empty());
+        assert!(!p.index.is_filed(A), "dropped and idle: unfiled");
+        // An idle, unfiled color is filed again by its next arrival.
+        p.arrive(A, 12, 1);
+        assert_eq!(p.index.first(), Some((12, A)));
     }
 
     #[test]

@@ -199,8 +199,8 @@ proptest! {
             let mut r = SnapReader::new(&bytes).expect("sealed snapshot");
             let loaded = PendingStore::load_state(&mut r).expect("store reloads");
             prop_assert_eq!(save(&loaded), bytes);
-            // Equality is logical: the reloaded store has a fresh index and
-            // no tombstones, yet equals the live one.
+            // Equality is logical: the reloaded store has a fresh index,
+            // without the live one's stale entries, yet equals it.
             prop_assert!(loaded == store, "reloaded store differs at round {}", round);
         }
     }

@@ -283,40 +283,71 @@ proptest! {
     }
 }
 
-/// Holds a policy's `ColorBook` eligible set to the filter it replaced —
-/// the colors whose per-color state has the eligible bit — after every
-/// reconfiguration and after every snapshot load.
-struct EligibleAudit<P>(P);
+/// Records a policy's `ColorBook` eligible set after every
+/// reconfiguration and after a snapshot load, checking each time that it
+/// is ascending, agrees with `is_eligible`, and holds only touched colors
+/// that have wrapped.
+struct EligibleAudit<P> {
+    policy: P,
+    /// `(round, mini-round, eligible colors)` after each reconfiguration.
+    seen: Vec<(u64, u32, Vec<ColorId>)>,
+    /// The eligible colors `load_state` rebuilt, if a snapshot was loaded.
+    loaded: Option<Vec<ColorId>>,
+}
 
-fn assert_eligible_set(book: &rrs::core::ColorBook) {
-    let filtered: Vec<ColorId> =
-        (0..book.len() as u32).map(ColorId).filter(|&c| book.state(c).eligible).collect();
-    let indexed: Vec<ColorId> = book.eligible_colors().collect();
-    assert_eq!(indexed, filtered, "eligible set diverged from the per-color eligible bits");
-    assert!((0..book.len() as u32)
-        .all(|c| book.is_eligible(ColorId(c)) == book.state(ColorId(c)).eligible));
+impl<P: Instrumented> EligibleAudit<P> {
+    fn new(policy: P) -> Self {
+        EligibleAudit { policy, seen: Vec::new(), loaded: None }
+    }
+
+    fn eligible(&self) -> Vec<ColorId> {
+        let book = self.policy.book().expect("audited policy keeps a book");
+        let set: Vec<ColorId> = book.eligible_colors().collect();
+        assert!(set.windows(2).all(|w| w[0] < w[1]), "eligible colors not ascending");
+        for c in (0..book.len() as u32).map(ColorId) {
+            assert_eq!(book.is_eligible(c), set.binary_search(&c).is_ok(), "color {c}");
+        }
+        for &c in &set {
+            let s = book.state(c);
+            assert!(s.delay_bound > 0 && s.last_wrap.is_some(), "eligible {c} never wrapped");
+        }
+        set
+    }
+
+    /// Hold a resumed run to the straight run it was cut from: the set
+    /// `load_state` rebuilt equals the straight run's set before the
+    /// resume round, and every later reconfiguration sees the same set.
+    fn assert_resumes(&self, straight: &Self) {
+        let loaded = self.loaded.as_ref().expect("a snapshot was loaded");
+        let Some(&(k, _, _)) = self.seen.first() else { return };
+        let cut = straight.seen.iter().position(|&(r, _, _)| r >= k).expect("round in run");
+        let before = cut.checked_sub(1).map_or(&[][..], |i| &straight.seen[i].2[..]);
+        assert_eq!(&loaded[..], before, "eligible set rebuilt on load at round {k}");
+        assert_eq!(self.seen, straight.seen[cut..], "eligible sets after resuming at round {k}");
+    }
 }
 
 impl<P: Policy + Instrumented> Policy for EligibleAudit<P> {
     fn name(&self) -> &str {
-        self.0.name()
+        self.policy.name()
     }
     fn init(&mut self, delta: u64, n_locations: usize) {
-        self.0.init(delta, n_locations);
+        self.policy.init(delta, n_locations);
     }
     fn reconfigure(&mut self, obs: &Observation<'_>, out: &mut Vec<Slot>) {
-        self.0.reconfigure(obs, out);
-        assert_eligible_set(self.0.book().expect("audited policy keeps a book"));
+        self.policy.reconfigure(obs, out);
+        let set = self.eligible();
+        self.seen.push((obs.round, obs.mini_round, set));
     }
 }
 
 impl<P: Snapshot + Instrumented> Snapshot for EligibleAudit<P> {
     fn save_state(&self, w: &mut SnapWriter) {
-        self.0.save_state(w);
+        self.policy.save_state(w);
     }
     fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.0.load_state(r)?;
-        assert_eligible_set(self.0.book().expect("audited policy keeps a book"));
+        self.policy.load_state(r)?;
+        self.loaded = Some(self.eligible());
         Ok(())
     }
 }
@@ -325,20 +356,18 @@ impl<P: Snapshot + Instrumented> Snapshot for EligibleAudit<P> {
 /// set is rebuilt by `load_state` and kept in step for the rest of the run.
 fn audited_resume_from_fixture(name: &str) {
     let inst = golden_instance();
-    let want = Simulator::new(&inst, 8).run(&mut full_algorithm());
+    let mut straight = EligibleAudit::new(full_algorithm());
+    let want = Simulator::new(&inst, 8).run(&mut straight);
     let fixture =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name);
     let snap = std::fs::read(fixture).unwrap();
+    let mut resumed = EligibleAudit::new(full_algorithm());
     let out = Simulator::new(&inst, 8)
-        .resume(
-            &mut EligibleAudit(full_algorithm()),
-            &mut NullRecorder,
-            &mut Scratch::new(),
-            &mut NoWatcher,
-            &snap,
-        )
+        .resume(&mut resumed, &mut NullRecorder, &mut Scratch::new(), &mut NoWatcher, &snap)
         .expect("committed fixture loads");
     assert_eq!(out, want);
+    assert!(!resumed.seen.is_empty(), "the fixture resumes before the horizon");
+    resumed.assert_resumes(&straight);
 }
 
 #[test]
@@ -374,21 +403,24 @@ fn batched_strategy() -> impl Strategy<Value = Instance> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Bare ΔLRU-EDF on rate-limited traffic: the eligible set matches
-    /// the per-color bits after every round, straight and resumed from a
-    /// checkpoint at an arbitrary round.
+    /// Bare ΔLRU-EDF on rate-limited traffic: the eligible set stays
+    /// consistent after every round, and a run resumed from a checkpoint
+    /// at an arbitrary round sees the straight run's sets.
     #[test]
     fn eligible_set_tracks_rate_limited_runs(inst in batched_strategy(), at in 0u64..=40) {
         let sim = Simulator::new(&inst, 8);
-        let want = sim.run(&mut EligibleAudit(DeltaLruEdf::new()));
+        let mut straight = EligibleAudit::new(DeltaLruEdf::new());
+        let want = sim.run(&mut straight);
         let k = at.min(sim.horizon());
         let snap = sim
             .checkpoint(&mut DeltaLruEdf::new(), &mut NullRecorder, &mut Scratch::new(), &mut NoWatcher, k)
             .into_snapshot();
-        let resumed = sim
-            .resume(&mut EligibleAudit(DeltaLruEdf::new()), &mut NullRecorder, &mut Scratch::new(), &mut NoWatcher, &snap)
+        let mut resumed = EligibleAudit::new(DeltaLruEdf::new());
+        let out = sim
+            .resume(&mut resumed, &mut NullRecorder, &mut Scratch::new(), &mut NoWatcher, &snap)
             .expect("resumes");
-        prop_assert_eq!(resumed, want);
+        prop_assert_eq!(out, want);
+        resumed.assert_resumes(&straight);
     }
 
     /// The full stack on Zipf traffic over 16–512 colors.
@@ -397,13 +429,16 @@ proptest! {
         let cfg = ZipfConfig { num_colors: colors, rounds: 64, ..ZipfConfig::default() };
         let inst = zipf_popularity(&cfg, seed);
         let sim = Simulator::new(&inst, 8);
-        let want = sim.run(&mut EligibleAudit(full_algorithm()));
+        let mut straight = EligibleAudit::new(full_algorithm());
+        let want = sim.run(&mut straight);
         let snap = sim
             .checkpoint(&mut full_algorithm(), &mut NullRecorder, &mut Scratch::new(), &mut NoWatcher, at)
             .into_snapshot();
-        let resumed = sim
-            .resume(&mut EligibleAudit(full_algorithm()), &mut NullRecorder, &mut Scratch::new(), &mut NoWatcher, &snap)
+        let mut resumed = EligibleAudit::new(full_algorithm());
+        let out = sim
+            .resume(&mut resumed, &mut NullRecorder, &mut Scratch::new(), &mut NoWatcher, &snap)
             .expect("resumes");
-        prop_assert_eq!(resumed, want);
+        prop_assert_eq!(out, want);
+        resumed.assert_resumes(&straight);
     }
 }
